@@ -51,14 +51,15 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Machine-readable benchmark artifact: one iteration of the headline
-# benchmarks (table regeneration, guest execution, dispatch overhead, incremental solving,
-# warm-vs-cold caching, sampling strategies, portfolio solving), parsed into
+# benchmarks (table regeneration, guest execution, the bulk store loop,
+# dispatch overhead, incremental solving, warm-vs-cold caching, sampling
+# strategies, portfolio solving), parsed into
 # BENCH_SMOKE.json by cmd/benchjson. CI uploads the JSON so metric history
 # survives as build artifacts.
 bench-json:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	$(GO) test -run '^$$' \
-	  -bench '^(BenchmarkTable1|BenchmarkMachineSteps|BenchmarkGuestExec|BenchmarkDispatchLocal|BenchmarkHuntIncremental|BenchmarkSweepWarmVsCold|BenchmarkSampleModels|BenchmarkPortfolioSolve|BenchmarkTriagePrune)$$' \
+	  -bench '^(BenchmarkTable1|BenchmarkMachineSteps|BenchmarkMachineStoreLoop|BenchmarkGuestExec|BenchmarkDispatchLocal|BenchmarkHuntIncremental|BenchmarkSweepWarmVsCold|BenchmarkSampleModels|BenchmarkPortfolioSolve|BenchmarkTriagePrune)$$' \
 	  -benchtime=1x . > BENCH_SMOKE.txt
 	cat BENCH_SMOKE.txt
 	./bin/benchjson -o BENCH_SMOKE.json < BENCH_SMOKE.txt

@@ -299,6 +299,39 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.Let("back", lang.Load(lang.V("buf"), lang.U32(4400))),
 			lang.AllocAt("sz", "t@2", lang.Add(lang.ZX(32, lang.V("back")), lang.U32(1))),
 		)),
+		// Figure 2's png_memset row fill (Ult(Mul(i, 64), rowbytes), stride
+		// 64) over a 1<<20-cell row buffer: iterations past the 64th store
+		// into far cells, then far loads force the plain log to fold, and a
+		// store after the fold goes to the folded table.
+		"memset-far-fold": mustProg(t, lang.Fn("main", nil,
+			lang.Let("rowbytes", lang.U32(1<<20)),
+			lang.Let("fill", lang.Add(lang.InAt(0), lang.U8(1))),
+			lang.AllocAt("row", "t@1", lang.Add(lang.V("rowbytes"), lang.U32(1))),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("png_memset", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.V("rowbytes")),
+				lang.Put(lang.V("row"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.V("fill")),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+			lang.Let("first", lang.Load(lang.V("row"), lang.U32(4096))),
+			lang.Let("last", lang.Load(lang.V("row"), lang.U32(1<<20-64))),
+			lang.Let("gap", lang.Load(lang.V("row"), lang.U32(4097))),
+			lang.Put(lang.V("row"), lang.U32(4160), lang.U8(9)),
+			lang.Let("again", lang.Load(lang.V("row"), lang.U32(4160))),
+			lang.AllocAt("sz", "t@2", lang.Add(
+				lang.Add(lang.ZX(32, lang.V("first")), lang.ZX(32, lang.V("last"))),
+				lang.Add(lang.ZX(32, lang.V("gap")), lang.ZX(32, lang.V("again"))))),
+		)),
+		// The same fill with rowbytes past the block's end: the loop runs
+		// through 1<<20 cells, clobbers the red zone, then segfaults.
+		"memset-far-segv": mustProg(t, lang.Fn("main", nil,
+			lang.Let("rowbytes", lang.U32(1<<20+256)),
+			lang.AllocAt("row", "t@1", lang.U32(1<<20)),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("png_memset", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.V("rowbytes")),
+				lang.Put(lang.V("row"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(0)),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+		)),
 		// Load-op-store fusion (buf[i] = buf[i] + k) plus its load-error
 		// path when the offset runs past the block.
 		"load-op-store": mustProg(t, lang.Fn("main", nil,
@@ -320,12 +353,21 @@ func TestCompiledParityFusion(t *testing.T) {
 			lang.Let("x", lang.ZX(32, lang.InByte{Idx: lang.Add(lang.V("nope"), lang.U32(1))})),
 		)),
 	}
+	// A never-closed Cancel makes the bulk loop stop for every due poll
+	// (every cancelPollInterval branches, deep in the far region of the
+	// png_memset fills) without changing the outcome.
+	modes := parityModes()
+	modes["plain-cancel"] = interp.Options{Fuel: 300_000, Cancel: make(chan struct{})}
 	inputs := [][]byte{nil, {0}, {5}, {40}, {0xFF}}
 	for name, prog := range progs {
 		m := interp.NewMachine(interp.Compile(prog))
 		for i, input := range inputs {
-			for mode, opts := range parityModes() {
-				checkParity(t, fmt.Sprintf("%s input#%d mode=%s", name, i, mode), prog, m, input, opts)
+			for mode, opts := range modes {
+				// Twice on one Machine: the second run starts from recycled
+				// blocks, so stale dense or far-cell state would show.
+				for round := 0; round < 2; round++ {
+					checkParity(t, fmt.Sprintf("%s input#%d mode=%s round=%d", name, i, mode, round), prog, m, input, opts)
+				}
 			}
 		}
 	}
@@ -363,6 +405,44 @@ func TestCompiledParityFuelSweep(t *testing.T) {
 		for fuel := int64(1); fuel <= 400; fuel++ {
 			opts := interp.Options{Fuel: fuel, TrackSymbolic: mode == "symbolic"}
 			checkParity(t, fmt.Sprintf("fuel=%d mode=%s", fuel, mode), prog, m, input, opts)
+		}
+	}
+}
+
+// TestCompiledParityFuelSweepFar cuts png_memset fills over far cells short
+// at every fuel value from just before the cutoff matters to past the end
+// of the program, whose last step allocates a block sized by a far load. A
+// fill that charged one step too many or too few anywhere in the loop moves
+// the point where that allocation still fits, so it diverges here. The
+// short fill exits a few iterations after iteration 64, where the stores
+// cross from the 4096-cell dense prefix into far cells; the long one exits
+// deep in the far region. Only plain mode runs the bulk loop, so only plain
+// mode is swept.
+func TestCompiledParityFuelSweepFar(t *testing.T) {
+	for _, tc := range []struct {
+		rowbytes uint64
+		window   int64 // fuel values swept below the natural step count
+	}{
+		{rowbytes: 70 * 64, window: 200}, // from about iteration 58
+		{rowbytes: 1 << 20, window: 60},
+	} {
+		prog := mustProg(t, lang.Fn("main", nil,
+			lang.Let("rowbytes", lang.U32(tc.rowbytes)),
+			lang.AllocAt("row", "t@1", lang.Add(lang.V("rowbytes"), lang.U32(1))),
+			lang.Let("i", lang.U32(0)),
+			lang.Loop("png_memset", lang.Ult(lang.Mul(lang.V("i"), lang.U32(64)), lang.V("rowbytes")),
+				lang.Put(lang.V("row"), lang.ZX(64, lang.Mul(lang.V("i"), lang.U32(64))), lang.U8(5)),
+				lang.Let("i", lang.Add(lang.V("i"), lang.U32(1))),
+			),
+			lang.AllocAt("sz", "t@2", lang.ZX(32, lang.Load(lang.V("row"), lang.U32(tc.rowbytes-64)))),
+		))
+		steps := interp.RunTree(prog, nil, interp.Options{}).Steps
+		m := interp.NewMachine(interp.Compile(prog))
+		for fuel := steps - tc.window; fuel <= steps+2; fuel++ {
+			opts := interp.Options{Fuel: fuel}
+			for round := 0; round < 2; round++ {
+				checkParity(t, fmt.Sprintf("rowbytes=%d fuel=%d round=%d", tc.rowbytes, fuel, round), prog, m, nil, opts)
+			}
 		}
 	}
 }

@@ -942,9 +942,10 @@ type loopOp struct {
 //
 //	While(Cmp(op, X, Y)) { Store(p, OFF, v); i = i ± k }
 //
-// executed as a bulk instruction in plain mode, bailing to the generic
+// executed as a bulk instruction in plain mode over every in-bounds cell of
+// the block, dense prefix and far cells alike, bailing to the generic
 // lowered loop (which immediately follows the opStoreLoop instruction) on
-// any condition the fast path cannot reproduce exactly.
+// any condition the fast path cannot reproduce exactly (see runStoreLoop).
 type storeLoop struct {
 	ptrSlot   int32
 	ptrGlobal bool
@@ -1076,11 +1077,13 @@ func loopCmp(op lang.CmpOp, a, b uint64, w uint8) bool {
 }
 
 // runStoreLoop executes as many fast iterations of a matched memset-style
-// loop as can be proven observation-free: in-bounds dense stores, condition
-// true, fuel strictly above the per-iteration charge, and no cancellation
-// poll due. Every anomaly bails — before consuming any of the bailing
-// iteration's charges — to the generic lowered loop that follows, which
-// reproduces events, errors, exits and fuel exhaustion exactly.
+// loop as can be proven observation-free: in-bounds stores (dense-prefix or
+// far cells, written exactly as block.storeCell writes them in plain mode),
+// condition true, fuel strictly above the per-iteration charge, and no
+// cancellation poll due. Every anomaly — a store into the red zone or past
+// it, loop exit, fuel, a due poll — bails, before consuming any of the
+// bailing iteration's charges, to the generic lowered loop that follows,
+// which reproduces events, errors, exits and fuel exhaustion exactly.
 func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 	if !m.plain {
 		return // taint/symbolic runs observe every store; generic path only
@@ -1142,11 +1145,15 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 			break // generic re-evaluates the exit condition with charges
 		}
 		ov := off.eval(iv)
-		if ov >= b.size || ov >= dense {
-			break // red zone, segv or far cell: generic handles events
+		if ov >= b.size {
+			break // red zone or segv: generic records the memory error
 		}
-		b.dense[ov] = val
-		b.stamp[ov] = b.gen
+		if ov < dense { // block.storeCell; inlined, as the call slows dense fills
+			b.dense[ov] = val
+			b.stamp[ov] = b.gen
+		} else {
+			b.far.store(ov, b.gen, val, true)
+		}
 		if lp.sub {
 			if lp.k > iv {
 				iwr = true

@@ -6,7 +6,7 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke bench-json cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke
+.PHONY: all build test race lint diodelint vet staticcheck check bench-smoke bench-json cache-smoke discover-smoke triage-smoke fuzz-smoke worker-smoke examples-smoke
 
 all: check test
 
@@ -46,7 +46,7 @@ lint: vet staticcheck diodelint
 check: lint build
 
 # One iteration of every benchmark — includes BenchmarkSuccessRateBatched,
-# whose one-shot-vs-batched row-parity assertions run even at 1x.
+# whose tree-walker-vs-Machine corpus hit-parity assertion runs even at 1x.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
@@ -143,3 +143,16 @@ worker-smoke:
 	  printf '%s\n' "$$out"; exit 1; \
 	fi; \
 	echo "worker smoke ok: 3 jobs -> 2 exposed, 1 unsatisfiable"
+
+# Examples smoke: run the two examples that drive the pipeline end to end —
+# customtarget (an app outside the registry, hunted in-process on per-site
+# Hunters) and wavhunt (hunt jobs on the Local backend) — and check their
+# headline lines. Mirrors the CI step.
+examples-smoke:
+	@out=$$($(GO) run ./examples/customtarget) || exit 1; \
+	case "$$out" in *"thumbd:thumb.c@38: exposed"*) ;; *) \
+	  echo "examples smoke failed: customtarget did not expose thumb.c@38"; printf '%s\n' "$$out"; exit 1;; esac; \
+	out=$$($(GO) run ./examples/wavhunt) || exit 1; \
+	case "$$out" in *"2/2 inputs trigger"*) ;; *) \
+	  echo "examples smoke failed: wavhunt did not report 2/2 inputs trigger"; printf '%s\n' "$$out"; exit 1;; esac; \
+	echo "examples smoke ok: customtarget exposed thumb.c@38, wavhunt 2/2 inputs trigger"

@@ -16,6 +16,7 @@ import (
 	"diode/internal/harness"
 	"diode/internal/interp"
 	"diode/internal/lang"
+	"diode/internal/queue"
 	"diode/internal/solver"
 )
 
@@ -92,6 +93,25 @@ func BenchmarkTable2Discovery(b *testing.B) {
 	}
 }
 
+// huntAll analyzes the application and hunts every target on its own
+// Hunter, seeded per site exactly as a hunt job is. It returns the results
+// in analysis order and the hunters' summed solver counters.
+func huntAll(b *testing.B, app *apps.App, opts core.Options) ([]*core.SiteResult, solver.Stats) {
+	b.Helper()
+	targets, err := core.NewAnalyzer(app, opts).Analyze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var stats solver.Stats
+	sites := make([]*core.SiteResult, len(targets))
+	for i, t := range targets {
+		h := core.NewHunter(app, opts.ForSite(t.Site))
+		sites[i] = h.Hunt(t)
+		stats.Add(h.SolverStats())
+	}
+	return sites, stats
+}
+
 // successRates runs the §5.5 / §5.6 experiment for every exposed site of one
 // application and reports the aggregate hit rates.
 func successRates(b *testing.B, short string, n int) {
@@ -100,17 +120,14 @@ func successRates(b *testing.B, short string, n int) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		eng := core.New(app, core.Options{Seed: int64(i + 1)})
-		res, err := eng.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
+		opts := core.Options{Seed: int64(i + 1)}
+		sites, _ := huntAll(b, app, opts)
 		var hits, total int
-		for _, sr := range res.Sites {
+		for _, sr := range sites {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}
-			h, t := eng.SuccessRate(sr.Target, sr.Target.Beta, n)
+			h, t := core.NewHunter(app, opts.ForSite(sr.Target.Site)).SuccessRate(sr.Target, sr.Target.Beta, n)
 			hits += h
 			total += t
 		}
@@ -134,16 +151,13 @@ func BenchmarkSuccessRateEnforced(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			res, err := eng.RunAll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, sr := range res.Sites {
+			opts := core.Options{Seed: int64(i + 1)}
+			sites, _ := huntAll(b, app, opts)
+			for _, sr := range sites {
 				if sr.Verdict != core.VerdictExposed || sr.EnforcedCount() == 0 {
 					continue
 				}
-				h, t := eng.SuccessRate(sr.Target, core.EnforcedConstraint(sr), 200)
+				h, t := core.NewHunter(app, opts.ForSite(sr.Target.Site)).SuccessRate(sr.Target, core.EnforcedConstraint(sr), 200)
 				if t > 0 {
 					b.ReportMetric(float64(h)/float64(t)*100, short+"-enforced-%")
 				}
@@ -196,8 +210,8 @@ func BenchmarkSamePath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sat := 0
 		for _, app := range apps.All() {
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			targets, err := eng.Analyze()
+			opts := core.Options{Seed: int64(i + 1)}
+			targets, err := core.NewAnalyzer(app, opts).Analyze()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -206,7 +220,7 @@ func BenchmarkSamePath(b *testing.B) {
 				if !ok || ps.Class != apps.ClassExposed {
 					continue
 				}
-				if eng.SamePathSatisfiable(t) == solver.Sat {
+				if core.NewHunter(app, opts.ForSite(t.Site)).SamePathSatisfiable(t) == solver.Sat {
 					sat++
 				}
 			}
@@ -225,8 +239,8 @@ func BenchmarkAblationFullPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		findable := 0
 		for _, app := range apps.All() {
-			eng := core.New(app, core.Options{Seed: int64(i + 1)})
-			targets, err := eng.Analyze()
+			opts := core.Options{Seed: int64(i + 1)}
+			targets, err := core.NewAnalyzer(app, opts).Analyze()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -235,7 +249,7 @@ func BenchmarkAblationFullPath(b *testing.B) {
 				if !ok || ps.Class != apps.ClassExposed {
 					continue
 				}
-				if eng.SamePathSatisfiable(t) == solver.Sat {
+				if core.NewHunter(app, opts.ForSite(t.Site)).SamePathSatisfiable(t) == solver.Sat {
 					findable++
 				}
 			}
@@ -250,12 +264,8 @@ func BenchmarkAblationFullPath(b *testing.B) {
 func ablationSweep(b *testing.B, opts core.Options) {
 	exposed := 0
 	for _, app := range apps.Paper() {
-		eng := core.New(app, opts)
-		res, err := eng.RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+		sites, _ := huntAll(b, app, opts)
+		for _, sr := range sites {
 			if sr.Verdict == core.VerdictExposed {
 				exposed++
 			}
@@ -299,8 +309,7 @@ func BenchmarkAnalysisOnly(b *testing.B) {
 	for _, app := range apps.All() {
 		b.Run(app.Short, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := core.New(app, core.Options{Seed: 1})
-				if _, err := eng.Analyze(); err != nil {
+				if _, err := core.NewAnalyzer(app, core.Options{Seed: 1}).Analyze(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -364,29 +373,21 @@ func BenchmarkHuntIncremental(b *testing.B) {
 				seed := int64(i + 1)
 
 				t0 := time.Now()
-				oneShot, err := core.New(app, core.Options{
+				oneShot, _ := huntAll(b, app, core.Options{
 					Seed: seed, SolverMode: m.mode, OneShotSolver: true,
-				}).RunAll()
-				if err != nil {
-					b.Fatal(err)
-				}
+				})
 				oneShotTime := time.Since(t0)
 
 				t0 = time.Now()
-				eng := core.New(app, core.Options{Seed: seed, SolverMode: m.mode})
-				incremental, err := eng.RunAll()
-				if err != nil {
-					b.Fatal(err)
-				}
+				incremental, st := huntAll(b, app, core.Options{Seed: seed, SolverMode: m.mode})
 				incrementalTime := time.Since(t0)
 
-				for j, sr := range oneShot.Sites {
-					if ir := incremental.Sites[j]; sr.Verdict != ir.Verdict {
+				for j, sr := range oneShot {
+					if ir := incremental[j]; sr.Verdict != ir.Verdict {
 						b.Fatalf("%s: session verdict %v != one-shot %v",
 							sr.Target.Site, ir.Verdict, sr.Verdict)
 					}
 				}
-				st := eng.SolverStats()
 				b.ReportMetric(oneShotTime.Seconds()/incrementalTime.Seconds(), "speedup")
 				b.ReportMetric(float64(st.ClausesReused), "clauses-reused")
 				b.ReportMetric(float64(st.ModelCacheHits), "model-cache-hits")
@@ -398,26 +399,22 @@ func BenchmarkHuntIncremental(b *testing.B) {
 // BenchmarkSuccessRateBatched measures what the compiled execution layer
 // buys the §5.5/§5.6 experiments (the workload of the two SuccessRate
 // benchmarks above): every exposed site's target-only experiment plus every
-// enforcement site's enforced experiment, on the one-shot path
-// (core.Options.OneShotExecution — a fresh tree-walking interpreter with
-// string-keyed environments per sampled input) versus the batched path (the
-// application compiled once, every input executed on one reused slot-indexed
-// machine).
+// enforcement site's enforced experiment, executed on the tree-walking
+// interpreter (interp.RunTree — a fresh machine with string-keyed
+// environments per sampled input) versus the batched path (the application
+// compiled once, every input executed on one reused slot-indexed machine).
 //
-// Setup (untimed) runs the hunts, samples every experiment's models once and
-// generates the input corpus — sampling and generation are solver/format
-// work identical on both paths, so the corpus is shared by construction —
-// and then verifies row parity through the real Hunter.SuccessRate API: the
-// hit/total counts (the table-row rates) from identically seeded one-shot
-// and batched hunters must be byte-identical. The timed region executes the
-// corpus on each path. Reported metrics:
+// Setup (untimed) runs the hunts and each experiment through the real
+// Hunter.SuccessRate API (the table-row rates), then samples every
+// experiment's models once more and generates the input corpus — sampling
+// and generation are solver/format work identical on both paths, so the
+// corpus is shared by construction. The timed region executes the corpus
+// on each path and asserts both count the same triggering inputs. Reported
+// metrics:
 //
-//	exec-speedup — one-shot / batched time over the guest executions, the
-//	               component the compiled layer optimizes (the ≥2x claim)
-//	e2e-speedup  — same ratio with each path's full SuccessRate calls
-//	               (sampling included; enforced-constraint model enumeration
-//	               is shared CDCL work, which dilutes this number)
-//	hits, total  — aggregate rates, equal on both paths
+//	exec-speedup — tree-walker / batched time over the guest executions,
+//	               the component the compiled layer optimizes (the ≥2x claim)
+//	hits, total  — aggregate Hunter.SuccessRate hits and corpus size
 func BenchmarkSuccessRateBatched(b *testing.B) {
 	type item struct {
 		app   *apps.App
@@ -425,10 +422,9 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 		input []byte
 	}
 	var (
-		corpus       []item
-		machines     = map[*apps.App]*interp.Machine{}
-		e2eOne, e2eB time.Duration
-		hits         int
+		corpus   []item
+		machines = map[*apps.App]*interp.Machine{}
+		hits     int
 	)
 	for _, short := range []string{"dillo", "vlc", "gifview", "tifthumb"} {
 		app, err := apps.ByName(short)
@@ -436,11 +432,8 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 			b.Fatal(err)
 		}
 		machines[app] = interp.NewMachine(app.Compiled())
-		res, err := core.NewScheduler(app, core.Options{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}).RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+		sites, _ := huntAll(b, app, core.Options{Seed: 1})
+		for _, sr := range sites {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}
@@ -450,23 +443,10 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 			}
 			for _, constraint := range constraints {
 				siteOpts := core.Options{Seed: 1}.ForSite(sr.Target.Site)
-				oneOpts := siteOpts
-				oneOpts.OneShotExecution = true
+				h, _ := core.NewHunter(app, siteOpts).SuccessRate(sr.Target, constraint, 200)
+				hits += h
 
-				// Row parity through the real experiment path, also timed
-				// for the end-to-end metric.
-				t0 := time.Now()
-				oh, ot := core.NewHunter(app, oneOpts).SuccessRate(sr.Target, constraint, 200)
-				e2eOne += time.Since(t0)
-				t0 = time.Now()
-				bh, bt := core.NewHunter(app, siteOpts).SuccessRate(sr.Target, constraint, 200)
-				e2eB += time.Since(t0)
-				if oh != bh || ot != bt {
-					b.Fatalf("%s: batched rate %d/%d != one-shot %d/%d", sr.Target.Site, bh, bt, oh, ot)
-				}
-				hits += bh
-
-				// Shared corpus: the same models both hunters sampled.
+				// Shared corpus: the same models the hunter sampled.
 				sol := solver.New(solver.Options{Seed: siteOpts.Seed})
 				gen := app.Format.Generator()
 				for _, m := range sol.NewSession(constraint).SampleModels(200) {
@@ -491,13 +471,13 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		oneHits := 0
+		treeHits := 0
 		for _, it := range corpus {
 			if triggered(interp.RunTree(it.app.Program, it.input, interp.Options{}), it.site) {
-				oneHits++
+				treeHits++
 			}
 		}
-		oneShot := time.Since(t0)
+		tree := time.Since(t0)
 
 		t0 = time.Now()
 		batHits := 0
@@ -510,11 +490,10 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 		}
 		batched := time.Since(t0)
 
-		if oneHits != batHits {
-			b.Fatalf("corpus hits diverge: one-shot %d != batched %d", oneHits, batHits)
+		if treeHits != batHits {
+			b.Fatalf("corpus hits diverge: tree-walker %d != batched %d", treeHits, batHits)
 		}
-		b.ReportMetric(oneShot.Seconds()/batched.Seconds(), "exec-speedup")
-		b.ReportMetric(e2eOne.Seconds()/e2eB.Seconds(), "e2e-speedup")
+		b.ReportMetric(tree.Seconds()/batched.Seconds(), "exec-speedup")
 		b.ReportMetric(float64(hits), "hits")
 		b.ReportMetric(float64(len(corpus)), "total")
 	}
@@ -522,8 +501,9 @@ func BenchmarkSuccessRateBatched(b *testing.B) {
 
 // BenchmarkDispatchLocal measures what the job-based dispatch layer costs
 // over driving the same machinery directly: the full dillo site sweep hunted
-// by a Scheduler on pre-analyzed targets versus the identical batch planned
-// as hunt jobs and run through the Local backend. The backend's JobCache is
+// on pre-analyzed targets, one per-site-seeded Hunter per target fanned
+// across a queue.Map pool of the same width, versus the identical batch
+// planned as hunt jobs and run through the Local backend. The backend's JobCache is
 // pinned to NoResults so every iteration really executes the hunts — with
 // result caching on, the steady state would measure cache lookups instead
 // (that speedup is BenchmarkSweepWarmVsCold's subject). Analysis memoization
@@ -545,7 +525,7 @@ func BenchmarkDispatchLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 	workers := runtime.GOMAXPROCS(0)
-	opts := core.Options{Seed: 1, Parallelism: workers}
+	opts := core.Options{Seed: 1}
 	targets, err := core.NewAnalyzer(app, opts).Analyze()
 	if err != nil {
 		b.Fatal(err)
@@ -564,7 +544,9 @@ func BenchmarkDispatchLocal(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
-		direct := core.NewScheduler(app, opts).HuntAll(targets)
+		direct := queue.Map(workers, targets, func(t *core.Target) *core.SiteResult {
+			return core.NewHunter(app, opts.ForSite(t.Site)).Hunt(t)
+		})
 		directTime := time.Since(t0)
 
 		t0 = time.Now()
@@ -667,13 +649,13 @@ func BenchmarkSweepWarmVsCold(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAllParallel measures the scheduler's wall-clock speedup: the
-// full five-application sweep hunted sequentially (one worker, sequential
-// site hunts) versus fully fanned out (apps × sites concurrent). Per-site
+// BenchmarkRunAllParallel measures the parallel sweep's wall-clock speedup:
+// the full registry sweep hunted sequentially (one worker, sequential site
+// hunts) versus fully fanned out (apps × sites concurrent jobs). Per-site
 // seed derivation guarantees both schedules produce identical verdicts, so
 // the speedup metric compares equal work.
 func BenchmarkRunAllParallel(b *testing.B) {
-	// Floor the pool at 2 so the concurrent scheduler path runs even on a
+	// Floor the pool at 2 so the concurrent pool path runs even on a
 	// single-core machine (where the speedup metric will sit near 1).
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 2 {
@@ -727,11 +709,8 @@ func BenchmarkSampleModels(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.NewScheduler(app, core.Options{Seed: 1, Parallelism: runtime.GOMAXPROCS(0)}).RunAll()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, sr := range res.Sites {
+		sites, _ := huntAll(b, app, core.Options{Seed: 1})
+		for _, sr := range sites {
 			if sr.Verdict != core.VerdictExposed {
 				continue
 			}

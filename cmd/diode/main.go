@@ -138,8 +138,8 @@ func run() (code int) {
 		}
 		discoveryOrder(discovered, targets)
 	}
-	// One hunt job per analyzed site, seeded exactly as a Scheduler would
-	// seed its per-site Hunters; the targets are kept for the verbose
+	// One hunt job per analyzed site, each seeded with
+	// diode.SiteSeed(opts.Seed, site); the targets are kept for the verbose
 	// per-site introspection below.
 	jobs := diode.HuntJobsFor(app, opts, targets)
 

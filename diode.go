@@ -17,13 +17,11 @@
 // language (the Valgrind substitute), the field-dictionary and
 // input-reconstruction layers (the Hachoir/Peach substitutes), and the five
 // re-authored benchmark applications. See DESIGN.md for the package
-// inventory and the Analyzer/Hunter/Scheduler layer diagram.
+// inventory and the layer diagram.
 //
-// The pipeline itself is three layers: an Analyzer (stages 1–3, once per
-// application), per-site Hunters (the Figure 7 enforcement loop, each with a
-// private solver), and a Scheduler that fans site hunts across a bounded
-// worker pool. Per-site seed derivation makes parallel and sequential runs
-// produce identical verdicts.
+// The pipeline itself is two layers: an Analyzer (stages 1–3, once per
+// application) and per-site Hunters (the Figure 7 enforcement loop, each
+// with a private solver, seeded per site by SiteSeed).
 //
 // The execution surface is job-based (the paper's §4 distributed work-queue
 // role): a sweep decomposes into serializable Jobs — per-site hunts,
@@ -44,10 +42,10 @@
 //	    fmt.Println(r.Site, r.Verdict)
 //	}
 //
-// The batch-synchronous Scheduler API (NewScheduler + RunAll, with
-// context-aware variants) remains first-class for single-application use,
-// and the pre-scheduler Engine API (NewEngine + RunAll) remains available as
-// a thin compatibility wrapper with identical results.
+// For an application outside the registry (which a Backend cannot resolve
+// by name), hunt in-process instead: NewAnalyzer(app, opts).Analyze(), then
+// NewHunter(app, opts.ForSite(t.Site)).Hunt(t) per target — ForSite derives
+// the seed a hunt job for that site would carry, so verdicts match.
 package diode
 
 import (
@@ -129,7 +127,7 @@ func Triaged(app *App) ([]DiscoveredSite, error) { return app.Triaged() }
 func FormatTriage(sites []DiscoveredSite) string { return discover.FormatTriage(sites) }
 
 // Options configure the pipeline. The zero value uses sensible defaults; set
-// Seed for reproducible hunts and Parallelism for concurrent site hunts.
+// Seed for reproducible hunts.
 type Options = core.Options
 
 // Analyzer runs stages 1–3 once per application, producing immutable
@@ -140,16 +138,10 @@ type Analyzer = core.Analyzer
 // solver and input generator.
 type Hunter = core.Hunter
 
-// Scheduler fans per-site hunts across a bounded worker pool with
-// deterministic per-site seeding.
-type Scheduler = core.Scheduler
-
-// SolverStats is a snapshot of solver work counters, aggregated by the
-// Scheduler across hunter-local solvers.
+// SolverStats is a snapshot of solver work counters: one Hunter's
+// (Hunter.SolverStats), or one job's (JobResult.Stats); sum snapshots with
+// Add.
 type SolverStats = solver.Stats
-
-// Engine is the pre-scheduler façade, kept as a compatibility wrapper.
-type Engine = core.Engine
 
 // Target is an analyzed target site: relevant input bytes, symbolic target
 // expression, target constraint, and the seed's branch condition sequence.
@@ -205,23 +197,16 @@ func ApplicationNames(list []*App) []string { return apps.Shorts(list) }
 func NewAnalyzer(app *App, opts Options) *Analyzer { return core.NewAnalyzer(app, opts) }
 
 // NewHunter returns a single-site hunter; opts.Seed seeds its private
-// solver directly (use Options.ForSite for the scheduler's derivation).
+// solver directly (use Options.ForSite for the per-site seed a hunt job
+// carries).
 func NewHunter(app *App, opts Options) *Hunter { return core.NewHunter(app, opts) }
-
-// NewScheduler returns a scheduler that analyzes the application once and
-// hunts its sites on a worker pool bounded by opts.Parallelism.
-func NewScheduler(app *App, opts Options) *Scheduler { return core.NewScheduler(app, opts) }
 
 // SiteSeed derives the deterministic per-site hunt seed from the run seed
 // and the site name.
 func SiteSeed(seed int64, site string) int64 { return core.SiteSeed(seed, site) }
 
-// NewEngine returns a DIODE engine for the application (compatibility
-// wrapper over NewScheduler; identical results).
-func NewEngine(app *App, opts Options) *Engine { return core.New(app, opts) }
-
-// Record converts an engine result into a persistable record for the table
-// renderers.
+// Record converts an application result into a persistable record for the
+// table renderers.
 func Record(res *AppResult) *AppRecord { return report.FromResult(res) }
 
 // --- dispatch layer: the job-based execution surface ---
@@ -306,9 +291,8 @@ func RunJobs(ctx context.Context, b Backend, jobs []Job) ([]JobResult, error) {
 }
 
 // HuntJobs analyzes the application and plans one hunt job per target site,
-// with per-site seeds derived from opts.Seed exactly as a Scheduler would
-// derive them — running the jobs on any Backend reproduces RunAll's
-// verdicts.
+// each seeded with SiteSeed(opts.Seed, site) — running the jobs on any
+// Backend reproduces NewHunter(app, opts.ForSite(site)).Hunt verdicts.
 func HuntJobs(app *App, opts Options) ([]Job, error) {
 	targets, err := core.NewAnalyzer(app, opts).Analyze()
 	if err != nil {

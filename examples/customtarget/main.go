@@ -87,12 +87,16 @@ func main() {
 		Program: buildProgram(),
 		Format:  buildFormat(),
 	}
-	engine := diode.NewEngine(app, diode.Options{Seed: 3})
-	result, err := engine.RunAll()
+	// The app is not in the registry, so no Backend can resolve it by name:
+	// run the hunt loop in-process, each site on a Hunter seeded exactly as
+	// a hunt job for it would be.
+	opts := diode.Options{Seed: 3}
+	targets, err := diode.NewAnalyzer(app, opts).Analyze()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, sr := range result.Sites {
+	for _, t := range targets {
+		sr := diode.NewHunter(app, opts.ForSite(t.Site)).Hunt(t)
 		fmt.Printf("%s: %v\n", sr.Target.Site, sr.Verdict)
 		if sr.Verdict != diode.VerdictExposed {
 			continue

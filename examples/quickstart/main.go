@@ -58,8 +58,8 @@ func main() {
 
 	// Goal-directed conditional branch enforcement (Figure 7), dispatched as
 	// a job: the record carries everything a worker needs — application,
-	// site, the seed derived exactly as a Scheduler would derive it — so the
-	// same job produces the same verdict on any backend. The sink narrates
+	// site, and the per-site seed diode.SiteSeed derives — so the same job
+	// produces the same verdict on any backend. The sink narrates
 	// the enforcement loop as it runs.
 	job := diode.Job{
 		ID: 1, Kind: diode.JobHunt, App: app.Short, Site: png203.Site,

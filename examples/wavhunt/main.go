@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"runtime"
@@ -18,23 +19,35 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := diode.Options{Seed: 7, Parallelism: runtime.GOMAXPROCS(0)}
-	sched := diode.NewScheduler(app, opts)
-	result, err := sched.RunAll()
+	opts := diode.Options{Seed: 7}
+	jobs, err := diode.HuntJobs(app, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	results, err := diode.RunJobs(context.Background(),
+		&diode.LocalBackend{Workers: runtime.GOMAXPROCS(0)}, jobs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// Results stream in completion order; job i is the i-th analyzed site.
+	sites := make([]diode.JobResult, len(jobs))
+	for _, r := range results {
+		if r.Err != "" {
+			log.Fatal(r.Err)
+		}
+		sites[r.JobID] = r
+	}
 
-	fmt.Printf("%s: hunting %d WAV-path allocation sites\n\n", app.Name, len(result.Sites))
-	for _, sr := range result.Sites {
-		paper, _ := app.PaperFor(sr.Target.Site)
-		fmt.Printf("%-24s %-12s (paper: %s)\n", sr.Target.Site, sr.Verdict, paper.CVE)
-		if sr.Verdict != diode.VerdictExposed {
+	fmt.Printf("%s: hunting %d WAV-path allocation sites\n\n", app.Name, len(sites))
+	for _, r := range sites {
+		paper, _ := app.PaperFor(r.Site)
+		fmt.Printf("%-24s %-12s (paper: %s)\n", r.Site, r.Verdict, paper.CVE)
+		if r.Verdict != diode.VerdictExposed.String() {
 			continue
 		}
-		fmt.Printf("  error: %s, enforced %d branch(es)\n", sr.ErrorType, sr.EnforcedCount())
+		fmt.Printf("  error: %s, enforced %d branch(es)\n", r.ErrorType, len(r.Enforced))
 		for _, spec := range app.Format.Fields.Specs() {
-			oldV, newV := spec.Read(app.Format.Seed), spec.Read(sr.Input)
+			oldV, newV := spec.Read(app.Format.Seed), spec.Read(r.Input)
 			if oldV != newV {
 				fmt.Printf("  %-16s %d -> %d\n", spec.Name, oldV, newV)
 			}

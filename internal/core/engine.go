@@ -4,22 +4,23 @@
 // detection) and the goal-directed conditional branch enforcement algorithm
 // of Figure 7.
 //
-// The pipeline is split into three layers:
+// The pipeline is split into two layers:
 //
 //   - the Analyzer runs stages 1–3 once per application and produces
 //     immutable Targets (a target expression, the target constraint
 //     overflow(B), and the seed's relevant branch condition sequence);
 //   - a Hunter runs the Figure 7 enforcement loop for one site, owning a
-//     private solver and input generator so hunts are isolated;
-//   - the Scheduler fans per-site hunts across a bounded worker pool with
-//     deterministic per-site seed derivation (SiteSeed), so parallel and
-//     sequential runs produce identical verdicts.
+//     private solver and input generator so hunts are isolated.
 //
-// Engine is the original single-struct façade, kept as a thin compatibility
-// wrapper over the three layers.
+// Each site's Hunter is seeded with SiteSeed(run seed, site) (Options.ForSite),
+// so verdicts do not depend on which sites run, in what order or on how many
+// workers. Fanning hunts out is the dispatch package's job: it wraps one
+// Hunter per site as a serializable Job.
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"time"
 
 	"diode/internal/apps"
@@ -30,16 +31,12 @@ import (
 	"diode/internal/trace"
 )
 
-// Options configure the pipeline (Analyzer, Hunter and Scheduler alike).
+// Options configure the pipeline (Analyzer and Hunter alike).
 type Options struct {
 	// Seed seeds all randomness; identical seeds give identical hunts. Each
 	// site's hunt draws from a private solver seeded with
 	// SiteSeed(Seed, site), so results do not depend on hunt order.
 	Seed int64
-	// Parallelism bounds the number of concurrent site hunts a Scheduler
-	// runs. Zero or one means sequential; use runtime.GOMAXPROCS(0) to
-	// saturate the machine. Verdicts are identical at any setting.
-	Parallelism int
 	// InitialAttempts is how many distinct target-constraint models are
 	// tried before branch enforcement begins (Figure 7 lines 3–6 try one;
 	// sampling a few more makes the implementation robust to unlucky
@@ -70,13 +67,6 @@ type Options struct {
 	// deterministic tie-break and losers' learnt clauses are folded back into
 	// the persistent engine. Zero or one keeps single-engine solving.
 	Portfolio int
-	// OneShotExecution disables the compiled-program execution layer: every
-	// guest run then re-interprets the AST on a fresh tree-walking machine
-	// with string-keyed environments, the pre-compilation behavior
-	// (benchmark/ablation hook — see BenchmarkSuccessRateBatched). The
-	// default path compiles each application once (apps.App.Compiled) and
-	// reuses one slot-indexed interp.Machine per Analyzer/Hunter.
-	OneShotExecution bool
 	// DisableCompression skips Figure 8 branch-condition compression
 	// (ablation hook).
 	DisableCompression bool
@@ -113,19 +103,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// parallelism resolves the worker-pool bound.
-func (o Options) parallelism() int {
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
-
 // ForSite returns a copy of o whose Seed is the deterministic per-site hunt
-// seed. The Scheduler seeds every Hunter this way.
+// seed. Every hunt job is seeded this way (dispatch plans Job.Seed as
+// SiteSeed(run seed, site)), so NewHunter(app, opts.ForSite(t.Site)).Hunt(t)
+// reproduces the job's verdict in-process.
 func (o Options) ForSite(site string) Options {
 	o.Seed = SiteSeed(o.Seed, site)
 	return o
+}
+
+// SiteSeed derives the deterministic per-site hunt seed from the run seed
+// and the site name. Because every Hunter is seeded this way regardless of
+// which worker picks the site up — or in what order — a parallel sweep
+// produces byte-identical verdicts to a sequential one.
+func SiteSeed(seed int64, site string) int64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(seed))
+	h.Write(buf[:])
+	h.Write([]byte(site))
+	return int64(h.Sum64())
 }
 
 // Target is one analyzed target site: the output of stages 1–3 of the
@@ -309,52 +306,3 @@ func (r *AppResult) ResultFor(site string) (*SiteResult, bool) {
 	}
 	return nil, false
 }
-
-// Engine is the original single-struct DIODE façade, kept as a thin
-// compatibility wrapper over the Analyzer/Hunter/Scheduler layers. New code
-// should use those directly; Engine simply delegates, so its results are
-// identical to a Scheduler's at the same Options.
-type Engine struct {
-	app   *apps.App
-	opts  Options
-	sched *Scheduler
-}
-
-// New returns an engine for the application.
-func New(app *apps.App, opts Options) *Engine {
-	opts = opts.withDefaults()
-	return &Engine{app: app, opts: opts, sched: NewScheduler(app, opts)}
-}
-
-// App returns the engine's application.
-func (e *Engine) App() *apps.App { return e.app }
-
-// Analyze performs stages 1–3 via the Analyzer.
-func (e *Engine) Analyze() ([]*Target, error) {
-	return NewAnalyzer(e.app, e.opts).Analyze()
-}
-
-// Hunt runs the Figure 7 enforcement loop for one target on a freshly
-// seeded Hunter (seed derived from Options.Seed and the site name).
-func (e *Engine) Hunt(t *Target) *SiteResult {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).Hunt(t)
-}
-
-// RunAll analyzes the application and hunts every target site via the
-// Scheduler (sequential unless Options.Parallelism is set).
-func (e *Engine) RunAll() (*AppResult, error) { return e.sched.RunAll() }
-
-// SamePathSatisfiable decides the §5.4 experiment for a target.
-func (e *Engine) SamePathSatisfiable(t *Target) solver.Verdict {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).SamePathSatisfiable(t)
-}
-
-// SuccessRate generates up to n inputs satisfying the constraint and reports
-// how many trigger the overflow at the target site (§5.5/§5.6).
-func (e *Engine) SuccessRate(t *Target, constraint *bv.Bool, n int) (hits, total int) {
-	return NewHunter(e.app, e.opts.ForSite(t.Site)).SuccessRate(t, constraint, n)
-}
-
-// SolverStats returns the solver work counters aggregated across the hunts
-// RunAll has performed.
-func (e *Engine) SolverStats() solver.Stats { return e.sched.SolverStats() }

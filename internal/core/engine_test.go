@@ -8,18 +8,40 @@ import (
 	"diode/internal/solver"
 )
 
-func huntApp(t *testing.T, short string, seed int64) *AppResult {
+// huntApp analyzes an application and hunts every target on its own
+// Hunter, seeded per site exactly as a hunt job is.
+func huntApp(t *testing.T, short string, opts Options) *AppResult {
 	t.Helper()
 	app, err := apps.ByName(short)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(app, Options{Seed: seed})
-	res, err := eng.RunAll()
+	targets, err := NewAnalyzer(app, opts).Analyze()
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := &AppResult{App: app}
+	for _, tg := range targets {
+		res.Sites = append(res.Sites, NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg))
+	}
 	return res
+}
+
+// TestSiteSeedDerivation checks the per-site seed is a pure function of
+// (run seed, site) and separates both dimensions.
+func TestSiteSeedDerivation(t *testing.T) {
+	if SiteSeed(1, "a") != SiteSeed(1, "a") {
+		t.Fatal("SiteSeed not deterministic")
+	}
+	if SiteSeed(1, "a") == SiteSeed(2, "a") {
+		t.Error("SiteSeed ignores the run seed")
+	}
+	if SiteSeed(1, "a") == SiteSeed(1, "b") {
+		t.Error("SiteSeed ignores the site name")
+	}
+	if ForSite := (Options{Seed: 9}).ForSite("x"); ForSite.Seed != SiteSeed(9, "x") {
+		t.Error("Options.ForSite does not derive via SiteSeed")
+	}
 }
 
 // checkClassification compares measured verdicts against the paper's
@@ -67,7 +89,7 @@ func checkTriggeringInputs(t *testing.T, res *AppResult) {
 }
 
 func TestVLCFullPipeline(t *testing.T) {
-	res := huntApp(t, "vlc", 1)
+	res := huntApp(t, "vlc", Options{Seed: 1})
 	checkClassification(t, res)
 	checkTriggeringInputs(t, res)
 
@@ -88,7 +110,7 @@ func TestVLCFullPipeline(t *testing.T) {
 }
 
 func TestSwfPlayFullPipeline(t *testing.T) {
-	res := huntApp(t, "swfplay", 2)
+	res := huntApp(t, "swfplay", Options{Seed: 2})
 	checkClassification(t, res)
 	checkTriggeringInputs(t, res)
 	for _, site := range []string{
@@ -105,19 +127,19 @@ func TestSwfPlayFullPipeline(t *testing.T) {
 }
 
 func TestCWebPFullPipeline(t *testing.T) {
-	res := huntApp(t, "cwebp", 3)
+	res := huntApp(t, "cwebp", Options{Seed: 3})
 	checkClassification(t, res)
 	checkTriggeringInputs(t, res)
 }
 
 func TestImageMagickFullPipeline(t *testing.T) {
-	res := huntApp(t, "imagemagick", 4)
+	res := huntApp(t, "imagemagick", Options{Seed: 4})
 	checkClassification(t, res)
 	checkTriggeringInputs(t, res)
 }
 
 func TestDilloFullPipeline(t *testing.T) {
-	res := huntApp(t, "dillo", 5)
+	res := huntApp(t, "dillo", Options{Seed: 5})
 	checkClassification(t, res)
 	checkTriggeringInputs(t, res)
 
@@ -144,8 +166,8 @@ func TestSamePathBlocking(t *testing.T) {
 		"cwebp:jpegdec.c@248": true,
 	}
 	for _, app := range apps.All() {
-		eng := New(app, Options{Seed: 9})
-		targets, err := eng.Analyze()
+		opts := Options{Seed: 9}
+		targets, err := NewAnalyzer(app, opts).Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +187,7 @@ func TestSamePathBlocking(t *testing.T) {
 			if samePathSat[ps.Site] {
 				want = solver.Sat
 			}
-			if got := eng.SamePathSatisfiable(target); got != want {
+			if got := NewHunter(app, opts.ForSite(target.Site)).SamePathSatisfiable(target); got != want {
 				t.Errorf("%s same-path constraint: %v, want %v", ps.Site, got, want)
 			}
 			if samePathSat[ps.Site] != ps.SamePathSat {

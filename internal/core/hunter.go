@@ -12,9 +12,9 @@ import (
 // Hunter runs the goal-directed conditional branch enforcement loop of
 // Figure 7 against the target sites of one application. Each Hunter owns a
 // private solver, input generator and interp.Machine, so hunts are fully
-// isolated from one another: the Scheduler creates one Hunter per site with
-// a seed derived from the run seed and the site name, which is what makes
-// parallel and sequential schedules produce identical verdicts. The guest
+// isolated from one another: every hunt job runs on its own Hunter seeded
+// from the run seed and the site name (Options.ForSite), which is what makes
+// parallel and sequential sweeps produce identical verdicts. The guest
 // program itself is executed in the application's shared immutable compiled
 // form (apps.App.Compiled) — compilation is paid once per application, while
 // all mutable execution state stays hunter-private.
@@ -33,10 +33,10 @@ type Hunter struct {
 
 // NewHunter returns a hunter for the application. opts.Seed seeds the
 // hunter's private solver directly; use Options.ForSite to derive the
-// deterministic per-site seed the Scheduler uses.
+// deterministic per-site seed every hunt job uses.
 func NewHunter(app *apps.App, opts Options) *Hunter {
 	opts = opts.withDefaults()
-	h := &Hunter{
+	return &Hunter{
 		app:  app,
 		opts: opts,
 		sol: solver.New(solver.Options{
@@ -46,12 +46,9 @@ func NewHunter(app *apps.App, opts Options) *Hunter {
 			Sampling:  samplingFor(opts),
 			Portfolio: opts.Portfolio,
 		}),
-		gen: app.Format.Generator(),
+		gen:  app.Format.Generator(),
+		mach: interp.NewMachine(app.Compiled()),
 	}
-	if !opts.OneShotExecution {
-		h.mach = interp.NewMachine(app.Compiled())
-	}
-	return h
 }
 
 // samplingFor maps the OneShotSampling ablation flag onto the solver's
@@ -63,19 +60,15 @@ func samplingFor(opts Options) solver.Sampling {
 	return solver.SamplingRestart
 }
 
-// App returns the hunter's application.
-func (h *Hunter) App() *apps.App { return h.app }
-
-// SolverStats snapshots the hunter-local solver's work counters; the
-// Scheduler aggregates these across hunters.
+// SolverStats snapshots the hunter-local solver's work counters; a hunt job
+// reports them as its Result.Stats.
 func (h *Hunter) SolverStats() solver.Stats { return h.sol.Snapshot() }
 
 // execute runs the guest on an input and returns the outcome. When
 // withBranches is set, the run records the branch trace restricted to the
 // target's relevant bytes (for first-flipped-branch comparison). The run
-// reuses the hunter's private machine (unless the OneShotExecution ablation
-// rebuilds a tree-walking interpreter per run), so the returned outcome is
-// valid only until the hunter's next execute call. A cancelled ctx aborts the
+// reuses the hunter's private machine, so the returned outcome is valid only
+// until the hunter's next execute call. A cancelled ctx aborts the
 // run mid-execution through the interpreter's Cancel hook (the outcome then
 // reads OutCancelled).
 func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranches bool) *interp.Outcome {
@@ -83,9 +76,6 @@ func (h *Hunter) execute(ctx context.Context, t *Target, input []byte, withBranc
 	if withBranches {
 		opts.TrackSymbolic = true
 		opts.SymbolicBytes = h.relevantBytes(t)
-	}
-	if h.mach == nil {
-		return interp.RunTree(h.app.Program, input, opts)
 	}
 	h.mach.Reset(input, opts)
 	return h.mach.Run()

@@ -48,12 +48,8 @@ func TestTargetDerivedLookups(t *testing.T) {
 // one-shot ablation path and the default incremental sessions must classify
 // every site identically.
 func TestOneShotSolverVerdictParity(t *testing.T) {
-	inc := huntApp(t, "vlc", 17)
-	app := inc.App
-	oneShot, err := New(app, Options{Seed: 17, OneShotSolver: true}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := huntApp(t, "vlc", Options{Seed: 17})
+	oneShot := huntApp(t, "vlc", Options{Seed: 17, OneShotSolver: true})
 	if len(oneShot.Sites) != len(inc.Sites) {
 		t.Fatalf("site counts differ: %d vs %d", len(oneShot.Sites), len(inc.Sites))
 	}

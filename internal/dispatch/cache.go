@@ -120,7 +120,7 @@ func (c *JobCache) Targets(ctx context.Context, app *apps.App, opts Options) ([]
 	// Register the caller's instance so subsequent by-name resolution (jobs
 	// naming the same application) reuses it and its warmed sync.Once state.
 	c.instances.Do(app.Short, func() (any, bool) { return appOut{app: app}, true })
-	key := cache.Key("analysis", keyVersion, app.Fingerprint(), canonicalOpts(opts))
+	key := analysisKey(app.Fingerprint(), opts)
 	for {
 		v, hit := c.analyses.Do(key, func() (any, bool) {
 			c.counters.AnalysisRun()
@@ -138,6 +138,13 @@ func (c *JobCache) Targets(ctx context.Context, app *apps.App, opts Options) ([]
 		}
 		return out.targets, out.err
 	}
+}
+
+// analysisKey derives the memo key of an application's analysis: the
+// program fingerprint and the canonical options subset (analysis ignores the
+// job seed, so one entry serves every site and seed).
+func analysisKey(fingerprint string, opts Options) string {
+	return cache.Key("analysis", keyVersion, fingerprint, canonicalOpts(opts))
 }
 
 // JobKey derives the content-addressed cache key for a job: the application

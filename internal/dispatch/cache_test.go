@@ -26,7 +26,6 @@ var optionsKeyFlips = map[string]func(*Options){
 	"OneShotSolver":          func(o *Options) { o.OneShotSolver = true },
 	"OneShotSampling":        func(o *Options) { o.OneShotSampling = true },
 	"Portfolio":              func(o *Options) { o.Portfolio = 4 },
-	"OneShotExecution":       func(o *Options) { o.OneShotExecution = true },
 	"DisableCompression":     func(o *Options) { o.DisableCompression = true },
 	"DisableRelevanceFilter": func(o *Options) { o.DisableRelevanceFilter = true },
 	"NoTriage":               func(o *Options) { o.NoTriage = true },
@@ -120,6 +119,30 @@ func TestJobKeySensitivity(t *testing.T) {
 		if mutate(f) != baseKey {
 			t.Errorf("Job.%s leaked into the key; identical content would miss", name)
 		}
+	}
+}
+
+// TestCacheKeyGolden pins the exact result and analysis keys of one fixed
+// hunt job. On-disk cache entries written by earlier builds stay valid only
+// while these digests hold: an options-subset field removed or reordered, or
+// any change to the key layout, shows here. Update the goldens only together
+// with an intended invalidation (a keyVersion, discover.Version or
+// absint.Version bump).
+func TestCacheKeyGolden(t *testing.T) {
+	const fp = "0123abcd"
+	job := Job{
+		ID: 3, Kind: KindHunt, App: "dillo", Site: "dillo:png.c@203",
+		SiteKind: "alloc", SitePath: "main/s7", Seed: 7,
+		Opts: Options{Portfolio: 4, NoTriage: true},
+	}
+	if got, want := canonicalOpts(job.Opts), `{"portfolio":4,"noTriage":true}`; got != want {
+		t.Errorf("canonical options = %s, want %s", got, want)
+	}
+	if got, want := JobKey(fp, job), "457be2e901318fa5e3d829a326178b8feb4d184fb556c8bff31a99375f1fbde4"; got != want {
+		t.Errorf("JobKey = %s, want %s", got, want)
+	}
+	if got, want := analysisKey(fp, job.Opts), "30ec7ba4b1a4e82013382cd97f9501ad1362a0ba0e46b8291543dfab5c78454b"; got != want {
+		t.Errorf("analysis key = %s, want %s", got, want)
 	}
 }
 

@@ -1,18 +1,18 @@
 // Package dispatch is the job-based execution surface of the system — the
-// paper's §4 distributed work-queue role made an API. The batch-synchronous
-// entry points (core.Scheduler.RunAll, the harness sweep) decompose into
-// serializable per-site Jobs: a hunt, a §5.4 same-path experiment or a
-// §5.5/§5.6 success-rate experiment is one unit of work, identified by
-// (application, site, derived seed) and therefore executable by any worker —
-// a goroutine of the Local backend or a spawned diode-worker process of the
-// Exec backend — with byte-identical results. Backends stream Results as jobs
-// complete; context cancellation stops a sweep mid-flight with partial
-// results.
+// paper's §4 distributed work-queue role made an API, and the one way a
+// sweep runs. Every sweep (the CLIs, the harness, the facade's HuntJobs)
+// decomposes into serializable per-site Jobs: a hunt, a §5.4 same-path
+// experiment or a §5.5/§5.6 success-rate experiment is one unit of work,
+// identified by (application, site, derived seed) and therefore executable
+// by any worker — a goroutine of the Local backend or a spawned diode-worker
+// process of the Exec backend — with byte-identical results. Backends stream
+// Results as jobs complete; context cancellation stops a sweep mid-flight
+// with partial results.
 //
 // The Job/Result records have a stable JSON codec (the wire format of the
 // diode-worker stdin/stdout protocol and the natural storage format for a
-// future networked queue); determinism rests on the same seam the in-process
-// Scheduler uses — every job carries its full derived seed, so neither
+// future networked queue); determinism rests on per-site seed derivation
+// (core.SiteSeed) — every job carries its full derived seed, so neither
 // placement nor completion order influences verdicts.
 package dispatch
 
@@ -43,8 +43,7 @@ const (
 
 // Options is the serializable subset of core.Options a job carries: the
 // pipeline knobs that influence verdicts. Seed is excluded (it travels on the
-// Job, fully derived), Parallelism is excluded (a job is one site's work) and
-// Progress is excluded (a live callback cannot cross a process boundary; the
+// Job, fully derived) and Progress is excluded (a live callback cannot cross a process boundary; the
 // Sink carries progress instead). The zero value means core defaults.
 type Options struct {
 	InitialAttempts        int         `json:"initialAttempts,omitempty"`
@@ -54,7 +53,6 @@ type Options struct {
 	OneShotSolver          bool        `json:"oneShotSolver,omitempty"`
 	OneShotSampling        bool        `json:"oneShotSampling,omitempty"`
 	Portfolio              int         `json:"portfolio,omitempty"`
-	OneShotExecution       bool        `json:"oneShotExecution,omitempty"`
 	DisableCompression     bool        `json:"disableCompression,omitempty"`
 	DisableRelevanceFilter bool        `json:"disableRelevanceFilter,omitempty"`
 	NoTriage               bool        `json:"noTriage,omitempty"`
@@ -70,7 +68,6 @@ func OptionsFrom(o core.Options) Options {
 		OneShotSolver:          o.OneShotSolver,
 		OneShotSampling:        o.OneShotSampling,
 		Portfolio:              o.Portfolio,
-		OneShotExecution:       o.OneShotExecution,
 		DisableCompression:     o.DisableCompression,
 		DisableRelevanceFilter: o.DisableRelevanceFilter,
 		NoTriage:               o.NoTriage,
@@ -88,7 +85,6 @@ func (o Options) Core(seed int64) core.Options {
 		OneShotSolver:          o.OneShotSolver,
 		OneShotSampling:        o.OneShotSampling,
 		Portfolio:              o.Portfolio,
-		OneShotExecution:       o.OneShotExecution,
 		DisableCompression:     o.DisableCompression,
 		DisableRelevanceFilter: o.DisableRelevanceFilter,
 		NoTriage:               o.NoTriage,
@@ -196,8 +192,8 @@ type Result struct {
 	Total       int `json:"total,omitempty"`
 	GenFailures int `json:"genFailures,omitempty"`
 
-	// Stats are the job's solver work counters (the per-hunter snapshot the
-	// Scheduler used to aggregate in-process).
+	// Stats are the job's solver work counters (the hunter's
+	// core.Hunter.SolverStats snapshot); sweeps sum them across results.
 	Stats solver.Stats `json:"stats"`
 }
 

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,8 +12,8 @@ import (
 	"diode/internal/core"
 )
 
-// huntBatch plans one hunt job per target site of the application, seeded
-// exactly as a Scheduler would seed its hunters.
+// huntBatch plans one hunt job per target site of the application, each
+// seeded with core.SiteSeed(seed, site).
 func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	t.Helper()
 	app, err := apps.ByName(short)
@@ -33,12 +34,14 @@ func huntBatch(t *testing.T, short string, seed int64) ([]Job, []*core.Target) {
 	return jobs, targets
 }
 
-// TestLocalMatchesScheduler is the compat anchor: the Local backend must
-// reproduce the pre-redesign Scheduler.RunAll verdicts, enforced labels and
-// triggering inputs byte for byte — same machinery, different packaging.
+// TestLocalMatchesScheduler is the seed-derivation anchor: the Local
+// backend must reproduce, byte for byte, the verdicts, enforced labels,
+// triggering inputs and run counts of hunting every analyzed target
+// in-process on NewHunter(app, opts.ForSite(site)) — a job's seed is exactly
+// the direct hunt's seed, whatever the packaging.
 func TestLocalMatchesScheduler(t *testing.T) {
 	const seed = 21
-	jobs, _ := huntBatch(t, "dillo", seed)
+	jobs, targets := huntBatch(t, "dillo", seed)
 	results, err := Collect(context.Background(), &Local{Workers: runtime.GOMAXPROCS(0)}, jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -47,10 +50,7 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
 	}
 	app, _ := apps.ByName("dillo")
-	want, err := core.NewScheduler(app, core.Options{Seed: seed}).RunAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := core.Options{Seed: seed}
 	byID := make(map[int]Result, len(results))
 	for _, r := range results {
 		if r.Err != "" {
@@ -58,19 +58,20 @@ func TestLocalMatchesScheduler(t *testing.T) {
 		}
 		byID[r.JobID] = r
 	}
-	for i, sr := range want.Sites {
+	for i, tg := range targets {
+		sr := core.NewHunter(app, opts.ForSite(tg.Site)).Hunt(tg)
 		got := byID[i]
-		if got.Site != sr.Target.Site {
-			t.Fatalf("job %d is %s, scheduler hunted %s", i, got.Site, sr.Target.Site)
+		if got.Site != tg.Site {
+			t.Fatalf("job %d is %s, direct hunt of %s", i, got.Site, tg.Site)
 		}
 		if got.Verdict != sr.Verdict.String() {
-			t.Errorf("%s: verdict %s, scheduler got %s", got.Site, got.Verdict, sr.Verdict)
+			t.Errorf("%s: verdict %s, direct hunt got %s", got.Site, got.Verdict, sr.Verdict)
 		}
 		if got.ErrorType != sr.ErrorType {
 			t.Errorf("%s: error type %q vs %q", got.Site, got.ErrorType, sr.ErrorType)
 		}
-		if len(got.Enforced) != len(sr.Enforced) {
-			t.Errorf("%s: %d enforced vs %d", got.Site, len(got.Enforced), len(sr.Enforced))
+		if !reflect.DeepEqual(got.Enforced, sr.Enforced) {
+			t.Errorf("%s: enforced %v vs %v", got.Site, got.Enforced, sr.Enforced)
 		}
 		if string(got.Input) != string(sr.Input) {
 			t.Errorf("%s: triggering inputs differ", got.Site)

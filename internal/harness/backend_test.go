@@ -90,48 +90,6 @@ func TestBackendTableEquality(t *testing.T) {
 	}
 }
 
-// TestHarnessMatchesSchedulerCompat anchors the planner/folder to the
-// pre-redesign compat path: for each application, a direct Scheduler.RunAll
-// at the harness's derived per-app seed must produce the same verdicts,
-// enforced counts and error types the job-based sweep folds into its
-// records.
-func TestHarnessMatchesSchedulerCompat(t *testing.T) {
-	const seed = 21
-	list := []*apps.App{}
-	for _, short := range []string{"vlc", "tifthumb"} {
-		a, err := apps.ByName(short)
-		if err != nil {
-			t.Fatal(err)
-		}
-		list = append(list, a)
-	}
-	outcomes := Evaluate(Config{Seed: seed}, list)
-	for _, o := range outcomes {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-		sched := core.NewScheduler(o.App, core.Options{Seed: core.SiteSeed(seed, o.App.Short)})
-		want, err := sched.RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Sites) != len(o.Result.Sites) {
-			t.Fatalf("%s: %d sites vs %d", o.App.Short, len(o.Result.Sites), len(want.Sites))
-		}
-		for i, sr := range want.Sites {
-			got := o.Result.Sites[i]
-			if got.Target.Site != sr.Target.Site {
-				t.Fatalf("%s: site order diverged: %s vs %s", o.App.Short, got.Target.Site, sr.Target.Site)
-			}
-			if got.Verdict != sr.Verdict || got.ErrorType != sr.ErrorType ||
-				got.EnforcedCount() != sr.EnforcedCount() || string(got.Input) != string(sr.Input) {
-				t.Errorf("%s: folded result diverged from scheduler: %+v vs %+v",
-					sr.Target.Site, got, sr)
-			}
-		}
-	}
-}
-
 // TestEvaluateCancellation checks the sweep-level cancellation contract: a
 // context cancelled mid-sweep makes EvaluateContext return promptly with
 // partial outcomes instead of running the remaining jobs.

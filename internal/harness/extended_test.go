@@ -66,19 +66,26 @@ func TestExtendedNeedsEnforcement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	targets, err := core.NewAnalyzer(app, core.Options{}).Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var screen *core.Target
+	for _, tg := range targets {
+		if tg.Site == "gifview:gif.c@155" {
+			screen = tg
+		}
+	}
+	if screen == nil {
+		t.Fatal("screen-buffer site missing from the analyzed targets")
+	}
 	seeds := []int64{1, 2, 3, 21, 33, 77, 1234}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		res, err := core.NewScheduler(app, core.Options{Seed: seed}).RunAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, ok := res.ResultFor("gifview:gif.c@155")
-		if !ok {
-			t.Fatal("screen-buffer site missing from results")
-		}
+		opts := core.Options{Seed: seed}.ForSite(screen.Site)
+		sr := core.NewHunter(app, opts).Hunt(screen)
 		if sr.Verdict != core.VerdictExposed {
 			t.Fatalf("seed %d: gif.c@155 = %v, want exposed", seed, sr.Verdict)
 		}

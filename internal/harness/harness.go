@@ -23,9 +23,9 @@ import (
 // Config controls an evaluation sweep.
 type Config struct {
 	// Seed is the run seed. Each application derives its own base seed as
-	// core.SiteSeed(Seed, app.Short) — the same FNV derivation the Scheduler
-	// uses per site — so an application's verdicts do not depend on which
-	// other applications are in the sweep or in what order they appear.
+	// core.SiteSeed(Seed, app.Short) — the same FNV derivation every hunt job
+	// then applies per site — so an application's verdicts do not depend on
+	// which other applications are in the sweep or in what order they appear.
 	Seed int64
 	// SampleN is the number of generated inputs per success-rate experiment
 	// (the paper uses 200). Zero disables the experiments.
@@ -36,8 +36,8 @@ type Config struct {
 	// backend (see Backend). Zero means one worker per application.
 	Workers int
 	// Parallelism multiplies the default Local backend's pool so a sweep
-	// runs apps × sites concurrently, matching the pre-dispatch scheduler
-	// behavior. Verdicts are identical at any setting.
+	// runs apps × sites jobs concurrently. Verdicts are identical at any
+	// setting.
 	Parallelism int
 	// Arith extends the sweep to the discovered arith-node surface: after
 	// the alloc waves, every discovered arith site is hunted end-to-end via

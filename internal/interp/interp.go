@@ -52,14 +52,14 @@ type Options struct {
 	// Fuel bounds interpreter steps; 0 means DefaultFuel.
 	Fuel int64
 	// Cancel, when non-nil, aborts the run once the channel is closed: the
-	// interpreter polls it on the branch hot path (every conditional
-	// evaluation, rate-limited to once per cancelPollInterval fuel-charged
-	// branches) — the same periodic boundary the fuel budget is enforced on —
-	// and ends the run with OutCancelled. Any long-running guest execution
-	// passes through a loop-head branch every iteration, so cancellation is
-	// observed promptly without taxing straight-line execution. This is how
-	// context cancellation reaches mid-run guest executions (the core derives
-	// it from ctx.Done()).
+	// interpreter polls it on the branch hot path (after each conditional
+	// evaluation, before the branch is taken; rate-limited to once per
+	// cancelPollInterval fuel-charged branches) — the same periodic boundary
+	// the fuel budget is enforced on — and ends the run with OutCancelled.
+	// Any long-running guest execution passes through a loop-head branch
+	// every iteration, so cancellation is observed promptly without taxing
+	// straight-line execution. This is how context cancellation reaches
+	// mid-run guest executions (the core derives it from ctx.Done()).
 	Cancel <-chan struct{}
 	// InputVarName returns the symbolic variable name for input byte i.
 	// Nil means the default "in[i]".
@@ -372,9 +372,11 @@ func Run(prog *lang.Program, input []byte, opts Options) *Outcome {
 // RunTree executes prog on the original tree-walking interpreter: a fresh
 // machine per call, environments as string-keyed maps, every variable
 // re-resolved by name at each step. It is retained as the compiled layer's
-// differential oracle (TestCompiledParity* pin byte-identical Outcomes) and
-// as the core.Options.OneShotExecution ablation baseline; new code should use
-// Run or a reused Machine.
+// differential oracle (TestCompiledParity* and FuzzMachineParity pin
+// byte-identical Outcomes; core's FuzzHunt re-runs hunt-found inputs on it)
+// and as the baseline the guest-execution benchmarks measure the compiled
+// layer against. Nothing in the pipeline runs it; new code should use Run or
+// a reused Machine.
 func RunTree(prog *lang.Program, input []byte, opts Options) *Outcome {
 	if opts.TrackSymbolic {
 		opts.TrackTaint = true
@@ -889,8 +891,15 @@ func convert(w uint8, signed bool, a value) value {
 // evalCondBranch evaluates a branch condition, appends to φ when the
 // condition is input-dependent, and returns the direction taken. It is the
 // cancellation point: every loop iteration passes through here, so a closed
-// Options.Cancel channel is observed within cancelPollInterval branches.
+// Options.Cancel channel is observed within cancelPollInterval branches. The
+// poll sits after the condition's charges and before the branch is recorded
+// — the placement the Machine's opBranch and opJcc share — so a cancelled
+// run reports the same Steps on both interpreters.
 func (m *machine) evalCondBranch(label string, c lang.BoolExpr) (bool, error) {
+	taken, sym, _, err := m.evalBool(c)
+	if err != nil {
+		return false, err
+	}
 	if m.opts.Cancel != nil {
 		if m.cancelPoll--; m.cancelPoll <= 0 {
 			m.cancelPoll = cancelPollInterval
@@ -900,10 +909,6 @@ func (m *machine) evalCondBranch(label string, c lang.BoolExpr) (bool, error) {
 			default:
 			}
 		}
-	}
-	taken, sym, _, err := m.evalBool(c)
-	if err != nil {
-		return false, err
 	}
 	if m.opts.TrackSymbolic && sym != nil {
 		cond := sym

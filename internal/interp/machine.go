@@ -22,8 +22,8 @@ import (
 // (no taint, no symbolic) Run allocates nothing at all once warm.
 //
 // A Machine is not safe for concurrent use; create one per goroutine (the
-// core Hunter owns one per site hunt, which is what keeps the Scheduler's
-// no-shared-mutable-state determinism seam intact). The Outcome returned by
+// core Hunter owns one per site hunt, which is what keeps per-site hunts
+// free of shared mutable state and so deterministic at any parallelism). The Outcome returned by
 // Run aliases machine-internal storage and is valid only until the next
 // Reset; callers that retain parts of it (the Analyzer keeps seed branch
 // traces in Targets) must copy them first.

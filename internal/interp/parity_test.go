@@ -355,9 +355,17 @@ func TestCompiledParityFusion(t *testing.T) {
 	}
 	// A never-closed Cancel makes the bulk loop stop for every due poll
 	// (every cancelPollInterval branches, deep in the far region of the
-	// png_memset fills) without changing the outcome.
+	// png_memset fills) without changing the outcome. A closed one cancels
+	// at the first branch, so both interpreters must poll at the same point
+	// of the condition's charges — after them — for Steps to agree, in the
+	// generic compare-and-branch, the fused compare-and-jump and the bulk
+	// loop's hand-off alike.
+	closed := make(chan struct{})
+	close(closed)
 	modes := parityModes()
 	modes["plain-cancel"] = interp.Options{Fuel: 300_000, Cancel: make(chan struct{})}
+	modes["closed-cancel"] = interp.Options{Fuel: 300_000, Cancel: closed}
+	modes["closed-cancel-symbolic"] = interp.Options{TrackSymbolic: true, Fuel: 300_000, Cancel: closed}
 	inputs := [][]byte{nil, {0}, {5}, {40}, {0xFF}}
 	for name, prog := range progs {
 		m := interp.NewMachine(interp.Compile(prog))

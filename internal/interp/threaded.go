@@ -483,10 +483,9 @@ func (m *Machine) exec() error {
 		case opBranch:
 			// The cancellation point: every loop iteration passes through a
 			// branch, so a closed Options.Cancel is observed within
-			// cancelPollInterval branches. The tree-walker polls before the
-			// condition evaluates rather than after; the cadence (one
-			// countdown per branch evaluation) is identical, so uncancelled
-			// runs are byte-identical.
+			// cancelPollInterval branches. Like opJcc and the tree-walker,
+			// the poll follows the condition's charges and precedes the
+			// branch record, so cancelled runs stop at identical Steps.
 			if m.opts.Cancel != nil {
 				if err := m.pollCancel(); err != nil {
 					return err
@@ -594,11 +593,6 @@ func (m *Machine) exec() error {
 			}
 
 		case opJcc:
-			if m.opts.Cancel != nil {
-				if err := m.pollCancel(); err != nil {
-					return err
-				}
-			}
 			ch := int64(in.charge)
 			var a, b value
 			var ok bool
@@ -644,6 +638,11 @@ func (m *Machine) exec() error {
 				cv = a.v >= b.v
 			default:
 				cv = loopCmp(lang.CmpOp(in.sub), a.v, b.v, a.w)
+			}
+			if m.opts.Cancel != nil { // the opBranch poll placement
+				if err := m.pollCancel(); err != nil {
+					return err
+				}
 			}
 			if m.opts.TrackSymbolic && (a.sym != nil || b.sym != nil) {
 				cond := symCmp(lang.CmpOp(in.sub), a.term(), b.term())
@@ -1137,7 +1136,7 @@ func (m *Machine) runStoreLoop(fr *cframe, lp *storeLoop) {
 		}
 		if poll {
 			if m.cancelPoll <= 1 {
-				break // let the generic branch hit the poll exactly
+				break // the generic branch charges its condition, then polls
 			}
 			m.cancelPoll--
 		}

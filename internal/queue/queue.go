@@ -1,7 +1,7 @@
-// Package queue is the in-process worker-pool primitive under the scheduler
-// and the dispatch layer's Local backend (the job-based work-queue surface
-// itself lives in internal/dispatch). Items run on a bounded pool and
-// results keep their input order, so table rows come out deterministic.
+// Package queue is the in-process worker-pool primitive the harness fans
+// per-application analysis across (the job-based work-queue surface itself
+// lives in internal/dispatch). Items run on a bounded pool and results keep
+// their input order, so table rows come out deterministic.
 package queue
 
 import "sync"

@@ -50,7 +50,7 @@ func (s *Stats) Add(o Stats) {
 
 // Collector accumulates solver work counters atomically. It is safe for
 // concurrent use: each Solver counts into its own Collector, and an
-// aggregator (the scheduler) folds hunter-local snapshots into a shared one.
+// aggregator folds hunter-local snapshots into a shared one.
 type Collector struct {
 	concreteHits      atomic.Int64
 	satSolves         atomic.Int64
